@@ -1,6 +1,6 @@
 //! A minimal HTTP/1.1 wire implementation: request parsing, response
-//! emission (full or chunked), and the tiny client-side reader the load
-//! generator and the integration tests share.
+//! serialisation (full or chunked), and the blocking client-side reader
+//! the load generator, the benches and the integration tests share.
 //!
 //! Deliberately small — exactly the subset the serving tier needs:
 //! request line + headers + `Content-Length` request bodies,
@@ -14,7 +14,14 @@
 //! `Content-Length`) or [`Body::Streamed`] (a pull-based [`BodyStream`]
 //! producer, chunked framing). The request-side 1 MiB cap stays; there
 //! is no response-side cap — that is the point of streaming.
+//!
+//! Responses are serialised by the event loop from two primitives:
+//! [`Response::head_bytes`] for the head, then either the sized body or
+//! one [`frame_chunk`] per streamed chunk plus [`CHUNK_TERMINATOR`].
+//! Responses are parsed by one decoder, [`ResponseDecoder`];
+//! [`read_response`] drives it from a blocking reader.
 
+use ee_util::http1::ResponseDecoder;
 use std::io::{BufRead, Write};
 
 /// Largest accepted **request** body. Anything bigger is refused with
@@ -35,7 +42,8 @@ pub enum HttpError {
     /// Read timed out waiting for the next request on a kept-alive
     /// connection.
     IdleTimeout,
-    /// Malformed request (bad request line, header, or length).
+    /// Malformed message: a bad request line, header or length, or
+    /// (client side) a bad or truncated response.
     Malformed(String),
     /// Body longer than [`MAX_BODY_BYTES`].
     BodyTooLarge(usize),
@@ -48,7 +56,7 @@ impl std::fmt::Display for HttpError {
         match self {
             HttpError::ConnectionClosed => write!(f, "connection closed"),
             HttpError::IdleTimeout => write!(f, "idle timeout"),
-            HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
+            HttpError::Malformed(m) => write!(f, "malformed message: {m}"),
             HttpError::BodyTooLarge(n) => write!(f, "body of {n} bytes too large"),
             HttpError::Io(e) => write!(f, "io error: {e}"),
         }
@@ -444,63 +452,9 @@ impl Response {
         self
     }
 
-    /// Serialise onto the wire. `keep_alive` controls the `Connection`
-    /// header; the caller decides whether to actually reuse the socket.
-    /// Streamed bodies are pulled to exhaustion (hence `&mut self`).
-    pub fn write_to<W: Write>(&mut self, w: &mut W, keep_alive: bool) -> std::io::Result<()> {
-        self.write_to_observed(w, keep_alive, |_| true)
-    }
-
-    /// [`write_to`](Response::write_to) with a per-chunk observer.
-    ///
-    /// `observe` sees every body chunk before it is written (full bodies
-    /// are one chunk) — the server uses it to tee streamed bodies into
-    /// the response cache, count bytes sent, and timestamp the first
-    /// byte. For **streamed** bodies a `false` return aborts the
-    /// response between chunks (the deadline-between-chunks rule: the
-    /// peer sees a truncated chunked body, never a stalled worker); for
-    /// full bodies the return value is ignored — a sized response that
-    /// made it through its handler is always transmitted whole.
-    pub fn write_to_observed<W: Write>(
-        &mut self,
-        w: &mut W,
-        keep_alive: bool,
-        mut observe: impl FnMut(&[u8]) -> bool,
-    ) -> std::io::Result<()> {
-        let head = self.head_bytes(keep_alive);
-        w.write_all(&head)?;
-        match &mut self.body {
-            Body::Full(b) => {
-                observe(b);
-                w.write_all(b)?;
-            }
-            Body::Streamed(s) => {
-                let mut frame = Vec::new();
-                while let Some(chunk) = s.next_chunk()? {
-                    if chunk.is_empty() {
-                        continue; // an empty chunk would mean "end of body"
-                    }
-                    if !observe(chunk) {
-                        w.flush()?;
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "response aborted between chunks",
-                        ));
-                    }
-                    frame.clear();
-                    frame_chunk(chunk, &mut frame);
-                    w.write_all(&frame)?;
-                }
-                w.write_all(CHUNK_TERMINATOR)?;
-            }
-        }
-        w.flush()
-    }
-
-    /// The serialised status line + headers + blank line, exactly as
-    /// [`write_to_observed`](Response::write_to_observed) emits them.
-    /// Shared by the blocking writer and the event loop's send buffer so
-    /// the two paths are byte-identical by construction.
+    /// The serialised status line + headers + blank line. `keep_alive`
+    /// sets the `Connection` header; the caller decides whether to
+    /// actually reuse the socket.
     pub fn head_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let framing = match &self.body {
             Body::Full(b) => format!("content-length: {}", b.len()),
@@ -530,7 +484,6 @@ pub const CHUNK_TERMINATOR: &[u8] = b"0\r\n\r\n";
 
 /// Append one chunked-framing frame (`{len:x}\r\n{chunk}\r\n`) to `out`.
 /// Empty chunks are skipped — framing one would terminate the body early.
-/// Shared by the blocking writer and the event loop's chunk producer.
 pub fn frame_chunk(chunk: &[u8], out: &mut Vec<u8>) {
     if chunk.is_empty() {
         return;
@@ -743,127 +696,45 @@ impl ClientResponse {
     }
 }
 
-/// The status line + headers of a response, read before any body bytes.
-/// Splitting head from body lets the load generator timestamp the first
-/// byte (TTFB) separately from total latency.
-#[derive(Debug, Clone)]
-pub struct ResponseHead {
-    /// Status code.
-    pub status: u16,
-    /// Lower-cased header pairs.
-    pub headers: Vec<(String, String)>,
-    /// Whether the server will keep the connection open afterwards.
-    pub keep_alive: bool,
-}
-
-impl ResponseHead {
-    /// First value of a header.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let lower = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == lower)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Read the status line and headers of one response. Returns once the
-/// blank line is consumed — the body (if any) is still on the wire;
-/// follow with [`read_response_body`].
-pub fn read_response_head<R: BufRead>(r: &mut R) -> Result<ResponseHead, HttpError> {
-    let mut line = String::new();
-    read_crlf_line(r, &mut line, true)?;
-    let mut parts = line.split_ascii_whitespace();
-    let _version = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty status line".into()))?;
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| HttpError::Malformed(format!("bad status line {line:?}")))?;
-    let mut headers = Vec::new();
-    loop {
-        let mut h = String::new();
-        read_crlf_line(r, &mut h, false)?;
-        if h.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = h.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    let keep_alive = headers
-        .iter()
-        .find(|(n, _)| n == "connection")
-        .is_none_or(|(_, v)| !v.eq_ignore_ascii_case("close"));
-    Ok(ResponseHead {
-        status,
-        headers,
-        keep_alive,
-    })
-}
-
-/// Read the body that follows `head`: `Content-Length`-sized, or chunked
-/// frames decoded and concatenated when the head carried
-/// `Transfer-Encoding: chunked`. Without either framing header the body
-/// is taken to be empty (this tier never responds with read-to-EOF
-/// bodies).
-pub fn read_response_body<R: BufRead>(
-    r: &mut R,
-    head: &ResponseHead,
-) -> Result<Vec<u8>, HttpError> {
-    let chunked = head
-        .header("transfer-encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"));
-    if chunked {
-        let mut body = Vec::new();
-        loop {
-            let mut size_line = String::new();
-            read_crlf_line(r, &mut size_line, false)?;
-            // Ignore chunk extensions (";...") per RFC 9112 §7.1.1.
-            let size_hex = size_line.split(';').next().unwrap_or("").trim();
-            let size = usize::from_str_radix(size_hex, 16)
-                .map_err(|_| HttpError::Malformed(format!("bad chunk size {size_line:?}")))?;
-            if size == 0 {
-                // Trailer section: we send none, so expect the blank line.
-                let mut trailer = String::new();
-                read_crlf_line(r, &mut trailer, false)?;
-                if !trailer.is_empty() {
-                    return Err(HttpError::Malformed("unexpected trailer".into()));
-                }
-                return Ok(body);
-            }
-            let start = body.len();
-            body.resize(start + size, 0);
-            r.read_exact(&mut body[start..]).map_err(HttpError::Io)?;
-            let mut crlf = [0u8; 2];
-            r.read_exact(&mut crlf).map_err(HttpError::Io)?;
-            if &crlf != b"\r\n" {
-                return Err(HttpError::Malformed("chunk not CRLF-terminated".into()));
-            }
-        }
-    }
-    let content_length = head
-        .header("content-length")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0);
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        r.read_exact(&mut body).map_err(HttpError::Io)?;
-    }
-    Ok(body)
-}
-
-/// Read one response from a buffered stream (client side: load generator
-/// and tests). Decodes both `Content-Length` and chunked framing.
+/// Read one response from a buffered stream (client side: load
+/// generator, benches and tests). Buffered bytes are fed to
+/// [`ResponseDecoder`] and exactly the message's bytes are consumed, so
+/// a pipelined response behind this one stays in the reader. EOF before
+/// the message completes is an error.
 pub fn read_response<R: BufRead>(r: &mut R) -> Result<ClientResponse, HttpError> {
-    let head = read_response_head(r)?;
-    let body = read_response_body(r, &head)?;
+    let mut dec = ResponseDecoder::new();
+    let mut consumed = 0usize;
+    loop {
+        let buf = match r.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(HttpError::Io(e)),
+        };
+        if buf.is_empty() {
+            return Err(if consumed == 0 {
+                HttpError::ConnectionClosed
+            } else {
+                HttpError::Malformed("connection closed mid-response".into())
+            });
+        }
+        let n = buf.len();
+        dec.feed(buf).map_err(|e| HttpError::Malformed(e.0))?;
+        match dec.message_len() {
+            Some(len) => {
+                r.consume(len - consumed);
+                break;
+            }
+            None => {
+                r.consume(n);
+                consumed += n;
+            }
+        }
+    }
     Ok(ClientResponse {
-        status: head.status,
-        headers: head.headers,
-        body,
-        keep_alive: head.keep_alive,
+        status: dec.status(),
+        headers: dec.headers().to_vec(),
+        body: dec.body(),
+        keep_alive: dec.is_keep_alive(),
     })
 }
 
@@ -928,15 +799,38 @@ mod tests {
         ));
     }
 
+    /// The wire bytes the event loop emits for `resp`: its head, then the
+    /// sized body or one frame per streamed chunk plus the terminator.
+    fn wire(resp: Response, keep_alive: bool) -> Vec<u8> {
+        let mut out = resp.head_bytes(keep_alive);
+        match resp.body {
+            Body::Full(b) => out.extend_from_slice(&b),
+            Body::Streamed(mut s) => {
+                while let Some(chunk) = s.next_chunk().unwrap() {
+                    frame_chunk(chunk, &mut out);
+                }
+                out.extend_from_slice(CHUNK_TERMINATOR);
+            }
+        }
+        out
+    }
+
+    fn streamed(chunks: Vec<Vec<u8>>) -> Response {
+        Response::streamed(
+            200,
+            "application/octet-stream",
+            Box::new(ChunkedSlices::new(chunks)),
+        )
+    }
+
     #[test]
     fn response_roundtrips_through_client_reader() {
-        let mut resp = Response::json(
+        let resp = Response::json(
             200,
             &ee_util::json::Json::obj(vec![("ok", ee_util::json::Json::Bool(true))]),
         )
         .with_header("x-cache", "HIT");
-        let mut wire = Vec::new();
-        resp.write_to(&mut wire, true).unwrap();
+        let wire = wire(resp, true);
         let got = read_response(&mut BufReader::new(&wire[..])).unwrap();
         assert_eq!(got.status, 200);
         assert_eq!(got.header("x-cache"), Some("HIT"));
@@ -944,16 +838,10 @@ mod tests {
         assert_eq!(got.body, br#"{"ok":true}"#);
     }
 
-    /// Write `chunks` as a streamed response, return (wire bytes, decoded
+    /// Frame `chunks` as a streamed response, return (wire bytes, decoded
     /// client response).
     fn stream_roundtrip(chunks: Vec<Vec<u8>>) -> (Vec<u8>, ClientResponse) {
-        let mut resp = Response::streamed(
-            200,
-            "application/octet-stream",
-            Box::new(ChunkedSlices::new(chunks)),
-        );
-        let mut wire = Vec::new();
-        resp.write_to(&mut wire, true).unwrap();
+        let wire = wire(streamed(chunks), true);
         let got = read_response(&mut BufReader::new(&wire[..])).unwrap();
         (wire, got)
     }
@@ -991,20 +879,13 @@ mod tests {
 
     #[test]
     fn chunked_body_straddles_small_read_buffer() {
-        // Chunks larger than the reader's internal buffer force every
-        // read_exact path to loop across buffer refills.
+        // Chunks larger than the reader's internal buffer force the
+        // decoder to wait across many buffer refills.
         let big: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-        let mut resp = Response::streamed(
-            200,
-            "application/octet-stream",
-            Box::new(ChunkedSlices::new(vec![
-                big.clone(),
-                b"tail".to_vec(),
-                big.clone(),
-            ])),
+        let wire = wire(
+            streamed(vec![big.clone(), b"tail".to_vec(), big.clone()]),
+            false,
         );
-        let mut wire = Vec::new();
-        resp.write_to(&mut wire, false).unwrap();
         let mut reader = BufReader::with_capacity(7, &wire[..]);
         let got = read_response(&mut reader).unwrap();
         let mut want = big.clone();
@@ -1015,34 +896,40 @@ mod tests {
     }
 
     #[test]
-    fn chunk_extensions_are_ignored_by_decoder() {
-        let wire = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n5;ext=1\r\nhello\r\n0\r\n\r\n";
-        let got = read_response(&mut BufReader::new(&wire[..])).unwrap();
-        assert_eq!(got.body, b"hello");
+    fn back_to_back_responses_decode_in_order_through_tiny_buffers() {
+        let mut both = wire(Response::text(200, "sized body"), true);
+        both.extend_from_slice(&wire(
+            streamed(vec![b"chunked ".to_vec(), b"body".to_vec()]),
+            true,
+        ));
+        for cap in [1, 7] {
+            let mut reader = BufReader::with_capacity(cap, &both[..]);
+            let first = read_response(&mut reader).unwrap();
+            assert_eq!(first.body, b"sized body", "capacity {cap}");
+            assert!(first.header("content-length").is_some());
+            let second = read_response(&mut reader).unwrap();
+            assert_eq!(second.body, b"chunked body", "capacity {cap}");
+            assert_eq!(second.header("transfer-encoding"), Some("chunked"));
+            // Nothing left over, nothing lost: the stream is exactly spent.
+            assert!(reader.fill_buf().unwrap().is_empty(), "capacity {cap}");
+            assert!(matches!(
+                read_response(&mut reader),
+                Err(HttpError::ConnectionClosed)
+            ));
+        }
     }
 
     #[test]
-    fn observer_false_aborts_stream_between_chunks() {
-        let mut resp = Response::streamed(
-            200,
-            "application/octet-stream",
-            Box::new(ChunkedSlices::new(vec![b"one".to_vec(), b"two".to_vec()])),
-        );
-        let mut wire = Vec::new();
-        let mut seen = 0;
-        let err = resp
-            .write_to_observed(&mut wire, true, |_| {
-                seen += 1;
-                seen < 2
-            })
-            .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
-        // First chunk made it out; no terminating 0-chunk followed, so a
-        // client sees the truncation.
-        let text = String::from_utf8_lossy(&wire);
-        assert!(text.contains("one"));
-        assert!(!text.contains("two"));
-        assert!(!wire.ends_with(b"0\r\n\r\n"));
+    fn connection_closed_mid_body_is_an_error() {
+        let sized = wire(Response::text(200, "0123456789"), true);
+        let chunked = wire(streamed(vec![b"0123456789".to_vec()]), true);
+        for whole in [sized, chunked] {
+            let cut = &whole[..whole.len() - 4];
+            assert!(matches!(
+                read_response(&mut BufReader::with_capacity(3, cut)),
+                Err(HttpError::Malformed(_))
+            ));
+        }
     }
 
     #[test]
@@ -1121,24 +1008,26 @@ mod tests {
     }
 
     #[test]
-    fn head_bytes_and_frame_chunk_match_blocking_writer() {
-        let chunks = vec![b"alpha".to_vec(), Vec::new(), b"beta-gamma".to_vec()];
-        let mut resp = Response::streamed(
+    fn head_bytes_and_frame_chunk_emit_the_exact_wire_format() {
+        let resp = Response::streamed(
             200,
             "application/json",
-            Box::new(ChunkedSlices::new(chunks.clone())),
+            Box::new(ChunkedSlices::new(vec![
+                b"alpha".to_vec(),
+                Vec::new(),
+                b"beta-gamma".to_vec(),
+            ])),
         )
         .with_header("etag", "\"abc\"");
-        let head = resp.head_bytes(true);
-        let mut wire = Vec::new();
-        resp.write_to(&mut wire, true).unwrap();
-        assert!(wire.starts_with(&head));
-        let mut rebuilt = head;
-        for c in &chunks {
-            frame_chunk(c, &mut rebuilt);
-        }
-        rebuilt.extend_from_slice(CHUNK_TERMINATOR);
-        assert_eq!(rebuilt, wire);
+        let want: &[u8] = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\
+            content-type: application/json\r\nconnection: keep-alive\r\n\
+            etag: \"abc\"\r\n\r\n\
+            5\r\nalpha\r\na\r\nbeta-gamma\r\n0\r\n\r\n";
+        assert_eq!(wire(resp, true), want);
+        let sized = wire(Response::text(404, "gone"), false);
+        let want: &[u8] = b"HTTP/1.1 404 Not Found\r\ncontent-length: 4\r\n\
+            content-type: text/plain; charset=utf-8\r\nconnection: close\r\n\r\ngone";
+        assert_eq!(sized, want);
     }
 
     /// A writer that accepts a fixed quota of bytes per call, then

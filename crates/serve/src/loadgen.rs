@@ -25,10 +25,10 @@
 //! fleet (rate ≪ connections) probing how much memory and tail latency
 //! each parked connection costs the server.
 
-use crate::http::{read_response_body, read_response_head, ClientResponse, HttpError};
+use crate::http::{read_response, ClientResponse, HttpError};
 use ee_util::http1::ResponseDecoder;
 use ee_util::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -52,7 +52,7 @@ pub struct LoadPlan {
     pub requests_per_client: usize,
     /// Connection management mode.
     pub mode: ConnMode,
-    /// Client-side socket timeout.
+    /// Client-side read timeout.
     pub timeout: Duration,
 }
 
@@ -96,8 +96,8 @@ pub struct LoadReport {
     /// criterion under overload.
     pub admitted_p99_us: u64,
     /// Time-to-first-byte percentiles over 2xx requests, µs: the clock
-    /// stops when the response head has been read, before the body
-    /// drains. For streamed responses this is the number that chunked
+    /// stops when the first response byte is readable, before the rest
+    /// of the response arrives. For streamed responses this is the number that chunked
     /// transfer improves — the first tile chunk arrives while the rest
     /// is still being encoded.
     pub ttfb_p50_us: u64,
@@ -132,8 +132,9 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Issue one request and read the response in two stages, returning the
-/// response and the time-to-first-byte (head read) in microseconds.
+/// Issue one request and read its response, returning the response and
+/// the time-to-first-byte (first response byte readable) in
+/// microseconds.
 fn issue(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
@@ -147,18 +148,9 @@ fn issue(
     let t0 = Instant::now();
     stream.write_all(req.as_bytes()).map_err(HttpError::Io)?;
     stream.flush().map_err(HttpError::Io)?;
-    let head = read_response_head(reader)?;
+    reader.fill_buf().map_err(HttpError::Io)?;
     let ttfb_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    let body = read_response_body(reader, &head)?;
-    Ok((
-        ClientResponse {
-            status: head.status,
-            headers: head.headers,
-            body,
-            keep_alive: head.keep_alive,
-        },
-        ttfb_us,
-    ))
+    Ok((read_response(reader)?, ttfb_us))
 }
 
 /// Run the plan against `addr`, each client cycling through `targets`
@@ -189,7 +181,6 @@ pub fn run(addr: SocketAddr, targets: &[String], plan: &LoadPlan) -> LoadReport 
                 match TcpStream::connect(addr) {
                     Ok(s) => {
                         let _ = s.set_read_timeout(Some(plan.timeout));
-                        let _ = s.set_write_timeout(Some(plan.timeout));
                         let _ = s.set_nodelay(true);
                         match s.try_clone() {
                             Ok(r) => conn = Some((s, BufReader::new(r))),

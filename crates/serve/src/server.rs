@@ -1,7 +1,5 @@
-//! The server: two interchangeable connection architectures over one
-//! shared request-resolution core.
-//!
-//! **Event-driven (default, [`ServerKind::Event`])** — the C10K tier:
+//! The server: a poll-driven event loop over a worker pool, the C10K
+//! serve tier.
 //!
 //! ```text
 //!   acceptor ──► shard inboxes ──► N event-loop shards (poll(2))
@@ -19,89 +17,65 @@
 //! A connection is a small state struct, not a thread: the shard polls
 //! its sockets, feeds bytes to a resumable [`RequestParser`], and hands
 //! complete requests to the worker pool. Heavy route work (plan/execute,
-//! tile encode) runs on workers; streamed bodies are pulled in bounded
-//! batches **only while the socket drains**, so a stalled reader parks
-//! its `BodyStream` in the shard (O(batch) memory) instead of pinning a
-//! worker. Admission control is layered: a max-connections cap at
-//! accept, the dispatch-queue watermark, and per-route in-flight quotas
-//! — each shedding with a graceful 503 + `Retry-After`. Idle keep-alive
-//! connections and stuck partial request heads (slow loris) are reaped
-//! on timers.
-//!
-//! **Thread-per-connection ([`ServerKind::Threaded`])** — the
-//! pre-event-loop architecture, kept as the E-c8 baseline: acceptor →
-//! bounded `VecDeque<Conn>` → fixed workers, each owning a blocking
-//! connection end-to-end. It saturates at `workers` concurrent
-//! connections by construction.
-//!
-//! Both paths answer requests through the same [`resolve`] function and
-//! serialise with the same [`Response::head_bytes`] / [`frame_chunk`]
-//! helpers, so their wire bytes are identical by construction (and
-//! asserted in `tests/event.rs`).
+//! tile encode) runs on workers, which answer through [`resolve`] and
+//! serialise with [`Response::head_bytes`] / [`frame_chunk`]; streamed
+//! bodies are pulled in bounded batches **only while the socket
+//! drains**, so a stalled reader parks its `BodyStream` in the shard
+//! (O(batch) memory) instead of pinning a worker. Admission control is
+//! layered: a max-connections cap at accept, the dispatch-queue
+//! watermark, and per-route in-flight quotas — each shedding with a
+//! graceful 503 + `Retry-After`. Idle keep-alive connections and stuck
+//! partial request heads (slow loris) are reaped on timers.
 
 use crate::cache::{CachedBody, ShardedLru};
 use crate::http::{
-    frame_chunk, read_request, Body, BodyStream, HttpError, Request, RequestParser, Response,
-    SendBuf, CHUNK_TERMINATOR,
+    frame_chunk, Body, BodyStream, HttpError, Request, RequestParser, Response, SendBuf,
+    CHUNK_TERMINATOR,
 };
 use crate::metrics::{Metrics, Route, ROUTES};
 use crate::router::{cache_key, classify, dispatch, Outcome};
 use crate::state::AppState;
 use ee_util::poll::{poll_fds, PollFd, WakePipe, Waker, POLLIN, POLLOUT};
 use std::collections::VecDeque;
-use std::io::{BufReader, Read};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Connection architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerKind {
-    /// Nonblocking sockets on poll-based event-loop shards; connections
-    /// are state machines, heavy work runs on the worker pool.
-    Event,
-    /// Thread-per-connection over the fixed worker pool (the pre-C10K
-    /// architecture, kept as the measured baseline).
-    Threaded,
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Connection architecture (event-driven by default).
-    pub kind: ServerKind,
-    /// Worker threads. Event mode: the pool running route work and body
-    /// chunk production. Threaded mode: connection-serving threads.
+    /// Worker threads: the pool running route work and body chunk
+    /// production.
     pub workers: usize,
-    /// Event-loop shards (event mode only), each owning a poll set.
+    /// Event-loop shards, each owning a poll set.
     pub event_shards: usize,
-    /// Hard cap on concurrently open connections (event mode); accepts
-    /// beyond it are answered 503 and closed.
+    /// Hard cap on concurrently open connections; accepts beyond it are
+    /// answered 503 and closed.
     pub max_connections: usize,
-    /// Admission watermark. Threaded: accepts are 503-rejected while the
-    /// connection queue holds this many. Event: requests are 503-shed
-    /// while this many dispatched jobs await a worker.
+    /// Admission watermark: requests are 503-shed (and the connection
+    /// closed) while this many dispatched jobs await a worker.
     pub queue_watermark: usize,
-    /// Default per-route in-flight request quota (event mode); a route
-    /// at its quota sheds further requests with 503 without costing the
-    /// connection.
+    /// Default per-route in-flight request quota; a route at its quota
+    /// sheds further requests with 503 without costing the connection.
     pub route_quota: usize,
     /// Per-route overrides of [`route_quota`](ServerConfig::route_quota).
     pub route_quota_overrides: Vec<(Route, usize)>,
-    /// Per-request deadline (first request: measured from admission, so
-    /// queue wait counts; later keep-alive requests: from read).
+    /// Per-request deadline, measured from the arrival of the request's
+    /// first byte (so head-of-line queueing counts, parked keep-alive
+    /// idle time does not).
     pub deadline: Duration,
     /// Idle timeout for keep-alive connections.
     pub idle_timeout: Duration,
     /// Requests served on one connection before it is recycled.
     pub max_requests_per_conn: usize,
-    /// HTTP/1.1 pipelining depth cap (event mode): consecutive requests
-    /// dispatched while more request bytes sit buffered behind them.
-    /// A client streaming requests faster than it drains responses is
-    /// answered 503 and closed once it exceeds this depth (counted in
+    /// HTTP/1.1 pipelining depth cap: consecutive requests dispatched
+    /// while more request bytes sit buffered behind them. A client
+    /// streaming requests faster than it drains responses is answered
+    /// 503 and closed once it exceeds this depth (counted in
     /// `ee_serve_pipeline_capped_total`).
     pub max_pipeline_depth: usize,
     /// Response-cache shards.
@@ -117,9 +91,6 @@ pub struct ServerConfig {
     pub cache_max_body_bytes: usize,
     /// `Retry-After` seconds advertised on 503.
     pub retry_after_secs: u64,
-    /// Per-write socket timeout (threaded mode; also used for the
-    /// blocking 503 writes at accept time in both modes).
-    pub write_timeout: Duration,
     /// Enable `/debug/*` routes (tests and experiments only).
     pub debug_routes: bool,
 }
@@ -128,7 +99,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            kind: ServerKind::Event,
             workers: ee_util::par::available_threads().min(8),
             event_shards: ee_util::par::available_threads().clamp(1, 4),
             max_connections: 8_192,
@@ -144,14 +114,13 @@ impl Default for ServerConfig {
             cache_ttl: Duration::from_secs(60),
             cache_max_body_bytes: 256 * 1024,
             retry_after_secs: 1,
-            write_timeout: Duration::from_millis(200),
             debug_routes: false,
         }
     }
 }
 
 impl ServerConfig {
-    /// The in-flight quota for `route` (event mode).
+    /// The in-flight quota for `route`.
     pub fn quota_for(&self, route: Route) -> usize {
         self.route_quota_overrides
             .iter()
@@ -159,13 +128,6 @@ impl ServerConfig {
             .map(|(_, q)| *q)
             .unwrap_or(self.route_quota)
     }
-}
-
-/// An admitted connection waiting for (or being served by) a worker
-/// (threaded mode).
-struct Conn {
-    stream: TcpStream,
-    admitted: Instant,
 }
 
 /// A connection's identity across the shard/worker boundary: slab slot
@@ -185,7 +147,7 @@ struct StreamCtx {
     first_chunk: bool,
 }
 
-/// Work for the event-mode worker pool.
+/// Work for the worker pool.
 enum Job {
     /// Resolve a parsed request into response bytes.
     Resolve {
@@ -241,10 +203,6 @@ struct Shared {
     state: Arc<AppState>,
     metrics: Metrics,
     cache: ShardedLru,
-    // Threaded-mode connection queue.
-    queue: Mutex<VecDeque<Conn>>,
-    queue_cv: Condvar,
-    // Event-mode job queue and shard mailboxes.
     jobs: Mutex<VecDeque<Job>>,
     jobs_cv: Condvar,
     shards: Vec<ShardHandle>,
@@ -308,7 +266,6 @@ impl ServerHandle {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Unblock the acceptor with a dummy connection.
         let _ = TcpStream::connect(self.addr);
-        self.shared.queue_cv.notify_all();
         self.shared.jobs_cv.notify_all();
         for s in &self.shared.shards {
             s.waker.wake();
@@ -316,8 +273,7 @@ impl ServerHandle {
         for t in self.threads {
             let _ = t.join();
         }
-        // Close anything still queued.
-        self.shared.queue.lock().expect("queue poisoned").clear();
+        // Drop anything still queued.
         self.shared.jobs.lock().expect("jobs poisoned").clear();
     }
 }
@@ -326,21 +282,14 @@ impl ServerHandle {
 pub fn start(config: ServerConfig, state: Arc<AppState>) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let kind = config.kind;
-    if kind == ServerKind::Event {
-        // Two fds per loopback connection (plus listener, pipes, data
-        // files): make sure the fleet fits.
-        let _ = ee_util::poll::raise_nofile_limit(config.max_connections as u64 * 2 + 512);
-    }
+    // Two fds per loopback connection (plus listener, pipes, data
+    // files): make sure the fleet fits.
+    let _ = ee_util::poll::raise_nofile_limit(config.max_connections as u64 * 2 + 512);
 
     // Shard mailboxes (and their wake pipes) exist before the Shared so
     // workers can address them; the pipes themselves move into the shard
     // threads below.
-    let shard_count = if kind == ServerKind::Event {
-        config.event_shards.max(1)
-    } else {
-        0
-    };
+    let shard_count = config.event_shards.max(1);
     let mut pipes = Vec::with_capacity(shard_count);
     let mut handles = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
@@ -362,8 +311,6 @@ pub fn start(config: ServerConfig, state: Arc<AppState>) -> std::io::Result<Serv
         ),
         metrics: Metrics::new(),
         state,
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
         jobs: Mutex::new(VecDeque::new()),
         jobs_cv: Condvar::new(),
         shards: handles,
@@ -378,10 +325,7 @@ pub fn start(config: ServerConfig, state: Arc<AppState>) -> std::io::Result<Serv
         threads.push(
             std::thread::Builder::new()
                 .name("ee-serve-accept".into())
-                .spawn(move || match kind {
-                    ServerKind::Event => event_accept_loop(&listener, &shared),
-                    ServerKind::Threaded => accept_loop(&listener, &shared),
-                })?,
+                .spawn(move || accept_loop(&listener, &shared))?,
         );
     }
     for (i, pipe) in pipes.into_iter().enumerate() {
@@ -397,10 +341,7 @@ pub fn start(config: ServerConfig, state: Arc<AppState>) -> std::io::Result<Serv
         threads.push(
             std::thread::Builder::new()
                 .name(format!("ee-serve-worker-{w}"))
-                .spawn(move || match kind {
-                    ServerKind::Event => event_worker_loop(&shared),
-                    ServerKind::Threaded => worker_loop(&shared),
-                })?,
+                .spawn(move || worker_loop(&shared))?,
         );
     }
     Ok(ServerHandle {
@@ -419,172 +360,25 @@ fn accept_backoff(e: &std::io::Error) -> Duration {
     }
 }
 
-/// Answer a just-accepted connection 503 and close it (used by both
-/// architectures for accept-time shedding).
-fn shed_at_accept(shared: &Shared, stream: TcpStream, msg: &str) {
+/// Answer a just-accepted connection 503 and close it. The write is
+/// nonblocking: the short response fits a fresh socket's send buffer,
+/// and a peer that cannot take it is dropped rather than allowed to
+/// stall the acceptor.
+fn shed_at_accept(shared: &Shared, mut stream: TcpStream, msg: &str) {
     shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let mut resp = Response::error(503, msg)
-        .with_header("retry-after", shared.config.retry_after_secs.to_string());
-    let mut s = stream;
-    let _ = resp.write_to(&mut s, false);
-}
-
-// ---------------------------------------------------------------------
-// Threaded architecture (baseline)
-// ---------------------------------------------------------------------
-
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                // fd exhaustion (or a transient error): back off instead
-                // of spinning on a hot failing accept.
-                shared.metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(accept_backoff(&e));
-                continue;
-            }
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let depth = {
-            let q = shared.queue.lock().expect("queue poisoned");
-            q.len()
-        };
-        if depth >= shared.config.queue_watermark {
-            // Overload: shed in O(1) with an explicit retry hint.
-            shed_at_accept(shared, stream, "admission queue full");
-            continue;
-        }
-        shared.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-        let mut q = shared.queue.lock().expect("queue poisoned");
-        q.push_back(Conn {
-            stream,
-            admitted: Instant::now(),
-        });
-        shared.metrics.set_queue_depth(q.len() as u64);
-        drop(q);
-        shared.queue_cv.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let conn = {
-            let mut q = shared.queue.lock().expect("queue poisoned");
-            loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(c) = q.pop_front() {
-                    shared.metrics.set_queue_depth(q.len() as u64);
-                    break c;
-                }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .expect("queue poisoned");
-                q = guard;
-            }
-        };
-        serve_connection(shared, conn);
-    }
-}
-
-/// Serve one admitted connection to completion (close, error, idle
-/// timeout, or request budget).
-fn serve_connection(shared: &Shared, conn: Conn) {
-    let Conn { stream, admitted } = conn;
-    let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // The first request's deadline starts at admission: time spent in the
-    // accept queue counts against it.
-    let mut deadline = admitted + shared.config.deadline;
-    for served in 0..shared.config.max_requests_per_conn {
-        if served > 0 {
-            deadline = Instant::now() + shared.config.deadline;
-        }
-        let req = match read_request(&mut reader) {
-            Ok(r) => r,
-            Err(HttpError::ConnectionClosed) | Err(HttpError::IdleTimeout) => return,
-            Err(HttpError::Io(_)) => return,
-            Err(HttpError::BodyTooLarge(_)) => {
-                shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                let _ = Response::error(413, "body too large").write_to(&mut writer, false);
-                return;
-            }
-            Err(HttpError::Malformed(m)) => {
-                shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                let _ = Response::error(400, &m).write_to(&mut writer, false);
-                return;
-            }
-        };
-        let keep_alive = req.wants_keep_alive() && served + 1 < shared.config.max_requests_per_conn;
-
-        let Resolved {
-            mut response,
-            route,
-            t0,
-            mut stream_tee,
-        } = resolve(shared, &req, deadline);
-
-        // The observer runs once per body chunk *before* it hits the wire:
-        // it records time-to-first-byte and bytes sent, tees cacheable
-        // streamed bodies, and re-checks the deadline between chunks (a
-        // `false` return aborts only streamed bodies — full bodies keep
-        // their pre-dispatch 504 semantics).
-        let streamed = response.body.is_streamed();
-        let max_tee = shared.cache.max_entry_bytes();
-        let mut first_chunk = true;
-        let write_res = response.write_to_observed(&mut writer, keep_alive, |chunk| {
-            if first_chunk {
-                first_chunk = false;
-                let ttfb_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                shared.metrics.record_ttfb(route, ttfb_us);
-            }
-            shared.metrics.add_bytes_sent(chunk.len() as u64);
-            if let Some(tee) = stream_tee.as_mut() {
-                tee.absorb(chunk, max_tee, &shared.metrics);
-            }
-            !streamed || Instant::now() < deadline
-        });
-        if write_res.is_err() {
-            if streamed && Instant::now() >= deadline {
-                shared
-                    .metrics
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            // A truncated chunked body poisons the connection; close it.
-            return;
-        }
-        if let Some(tee) = stream_tee.take() {
-            tee.insert_if_complete(&shared.cache);
-        }
-        if !keep_alive {
-            return;
-        }
+    let bytes = serialize_error(503, msg, false, Some(shared.config.retry_after_secs));
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = stream.write_all(&bytes);
     }
 }
 
 // ---------------------------------------------------------------------
-// Shared request resolution
+// Request resolution
 // ---------------------------------------------------------------------
 
-/// Everything both architectures need to transmit a resolved request:
-/// the response itself, its route and start time (TTFB accounting), and
-/// the pending cache tee for cacheable streamed misses.
+/// Everything a worker needs to transmit a resolved request: the
+/// response itself, its route and start time (TTFB accounting), and the
+/// pending cache tee for cacheable streamed misses.
 struct Resolved {
     response: Response,
     route: Route,
@@ -595,16 +389,15 @@ struct Resolved {
 /// Answer one parsed request: deadline check, `/metrics` special case,
 /// response-cache hit/miss, engine dispatch, post-commit cache sweep,
 /// conditional-request (`If-None-Match`) elision, and per-route latency
-/// accounting. Used verbatim by the threaded path (followed by a
-/// blocking observed write) and by event-mode workers (followed by
-/// serialisation into the connection's send queue).
+/// accounting. Workers follow it with serialisation into the
+/// connection's send queue ([`run_resolve`]).
 fn resolve(shared: &Shared, req: &Request, deadline: Instant) -> Resolved {
     let route = classify(&req.path);
     let t0 = Instant::now();
 
     // When a cacheable miss returns a *streamed* body there is nothing
-    // to store up front; the write path tees the chunks into this buffer
-    // and the entry is inserted only after the body completes.
+    // to store up front; the chunk producer tees the chunks into this
+    // buffer and the entry is inserted only after the body completes.
     let mut stream_tee: Option<StreamTee> = None;
 
     let mut response = if Instant::now() >= deadline {
@@ -661,8 +454,8 @@ fn resolve(shared: &Shared, req: &Request, deadline: Instant) -> Resolved {
                 Outcome::Ready(mut resp) => {
                     if resp.status == 200 {
                         if let Some(k) = key {
-                            // Full bodies can be cached before the
-                            // write; streamed ones are teed during it
+                            // Full bodies can be cached now; streamed
+                            // ones are teed as their chunks are produced
                             // (headers snapshotted *before* the
                             // x-cache marker so replays re-mark).
                             if let Some(full) = resp.body.as_full() {
@@ -744,7 +537,7 @@ fn resolve(shared: &Shared, req: &Request, deadline: Instant) -> Resolved {
 }
 
 /// Pending cache insert for a streamed cacheable miss: metadata captured
-/// at dispatch time plus the chunk bytes accumulated during the write.
+/// at dispatch time plus the chunk bytes accumulated as they are produced.
 /// `overflowed` flips once the body exceeds the cache's per-entry cap;
 /// the buffer is dropped and the entry never inserted.
 struct StreamTee {
@@ -795,7 +588,7 @@ impl StreamTee {
 }
 
 // ---------------------------------------------------------------------
-// Event-driven architecture
+// Event loop
 // ---------------------------------------------------------------------
 
 /// Target size of one framed chunk batch a worker produces per
@@ -813,7 +606,7 @@ const READ_QUANTUM: usize = 64 * 1024;
 /// How often the shard sweeps for idle / stuck-head connections.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 
-fn event_accept_loop(listener: &TcpListener, shared: &Shared) {
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
     let mut next_shard = 0usize;
     loop {
         let stream = match listener.accept() {
@@ -851,7 +644,7 @@ fn event_accept_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
-fn event_worker_loop(shared: &Shared) {
+fn worker_loop(shared: &Shared) {
     loop {
         let job = {
             let mut q = shared.jobs.lock().expect("jobs poisoned");
@@ -938,9 +731,11 @@ fn run_resolve(shared: &Shared, req: &Request, deadline: Instant, keep_alive: bo
 }
 
 /// Pull body chunks until the batch budget fills, the stream ends, or
-/// the deadline expires — the event-mode equivalent of the threaded
-/// path's per-chunk write observer (TTFB, bytes-sent, cache tee, and
-/// deadline-between-chunks abort semantics are identical).
+/// the deadline expires. Every chunk is accounted before it is framed:
+/// the first records time-to-first-byte, each adds to bytes sent and
+/// feeds the cache tee. An expired deadline or a producer error aborts
+/// between chunks, so the peer sees a truncated chunked body rather
+/// than a stalled one.
 fn produce_chunks(shared: &Shared, mut ctx: StreamCtx) -> (Vec<u8>, StreamNext) {
     let mut out = Vec::new();
     let max_tee = shared.cache.max_entry_bytes();
@@ -1411,8 +1206,8 @@ impl<'a> Shard<'a> {
             let keep_alive = req.wants_keep_alive()
                 && conn.served < self.shared.config.max_requests_per_conn;
 
-            // Dispatch-queue watermark: the event-mode face of the old
-            // accept-queue admission control.
+            // Dispatch-queue watermark: shed before queueing more work
+            // than the workers can drain.
             let depth = self.shared.jobs.lock().expect("jobs poisoned").len();
             if depth >= self.shared.config.queue_watermark {
                 self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
@@ -1534,8 +1329,8 @@ fn raw_fd(stream: &TcpStream) -> i32 {
 #[cfg(test)]
 mod tests {
     // The server is exercised end-to-end over real sockets in
-    // `tests/server.rs` (both kinds) and `tests/event.rs` (event-loop
-    // specifics); unit tests here stay within module seams.
+    // `tests/server.rs` and `tests/event.rs` (event-loop specifics);
+    // unit tests here stay within module seams.
     use super::*;
 
     #[test]
@@ -1545,7 +1340,6 @@ mod tests {
         assert!(c.queue_watermark > 0);
         assert!(c.deadline > Duration::ZERO);
         assert!(c.cache_shards > 0);
-        assert_eq!(c.kind, ServerKind::Event);
         assert!(c.event_shards >= 1);
         assert!(c.max_connections > 0);
         assert!(c.route_quota > 0);
@@ -1564,10 +1358,19 @@ mod tests {
     }
 
     #[test]
-    fn serialized_errors_match_the_blocking_writer() {
-        let mut resp = Response::error(503, "x").with_header("retry-after", "1");
-        let mut wire = Vec::new();
-        resp.write_to(&mut wire, false).unwrap();
-        assert_eq!(serialize_error(503, "x", false, Some(1)), wire);
+    fn serialized_errors_decode_as_complete_responses() {
+        let wire = serialize_error(503, "x", false, Some(1));
+        let mut dec = ee_util::http1::ResponseDecoder::new();
+        assert_eq!(dec.feed(&wire).unwrap(), Some(503));
+        assert_eq!(dec.message_len(), Some(wire.len()));
+        assert_eq!(dec.body(), br#"{"error":"x"}"#);
+        assert_eq!(dec.header("retry-after"), Some("1"));
+        assert_eq!(dec.header("content-type"), Some("application/json"));
+        assert!(!dec.is_keep_alive());
+        let keep = serialize_error(408, "slow", true, None);
+        let mut dec = ee_util::http1::ResponseDecoder::new();
+        assert_eq!(dec.feed(&keep).unwrap(), Some(408));
+        assert!(dec.is_keep_alive());
+        assert_eq!(dec.header("retry-after"), None);
     }
 }

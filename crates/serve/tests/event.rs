@@ -1,14 +1,12 @@
 //! End-to-end tests of the event-driven serve tier over real localhost
-//! sockets: behaviours the thread-per-connection suites can't exercise
-//! — idle-connection reaping, slow-loris partial heads, per-route
+//! sockets: idle-connection reaping, slow-loris partial heads, per-route
 //! quotas, the max-connections cap, mid-stream client disconnects under
-//! the event loop — plus the byte-identity contract between the two
-//! architectures and an open-loop fleet smoke.
+//! the event loop, pipelining, and an open-loop fleet smoke.
 
 use ee_serve::http::read_response;
 use ee_serve::loadgen::{run_open_loop, OpenLoopPlan};
 use ee_serve::metrics::Route;
-use ee_serve::{start, AppState, DataConfig, ServerConfig, ServerKind};
+use ee_serve::{start, AppState, DataConfig, ServerConfig};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
@@ -21,7 +19,6 @@ fn state() -> Arc<AppState> {
 
 fn event_config() -> ServerConfig {
     ServerConfig {
-        kind: ServerKind::Event,
         workers: 2,
         event_shards: 2,
         queue_watermark: 16,
@@ -242,53 +239,6 @@ fn max_connections_cap_sheds_at_accept() {
     let (mut s4, mut r4) = connect(server.addr);
     assert_eq!(send(&mut s4, &mut r4, "/healthz", false).status, 200);
     server.shutdown();
-}
-
-#[test]
-fn event_and_threaded_serve_byte_identical_responses() {
-    // /healthz is excluded: its body embeds a live uptime value.
-    let targets = [
-        "/query?x=12&y=34",
-        "/catalogue/search?mode=classic&minx=11&miny=11&maxx=13&maxy=13",
-        "/catalogue/search?mode=ranked&q=radar&k=3",
-        "/tiles/0/0/0",
-        "/tiles/1/1/1",
-        "/ice/fram-strait",
-        // Streamed chunked bodies, including a deterministic debug one.
-        "/debug/stream?chunks=9&bytes=1000&ms=0",
-    ];
-    let event = start(event_config(), state()).expect("start event");
-    let threaded = start(
-        ServerConfig {
-            kind: ServerKind::Threaded,
-            ..event_config()
-        },
-        state(),
-    )
-    .expect("start threaded");
-
-    let (mut es, mut er) = connect(event.addr);
-    let (mut ts, mut tr) = connect(threaded.addr);
-    for target in targets {
-        let a = send(&mut es, &mut er, target, true);
-        let b = send(&mut ts, &mut tr, target, true);
-        assert_eq!(a.status, b.status, "{target}: status");
-        assert_eq!(a.body, b.body, "{target}: body bytes");
-        // Headers agree apart from cache markers (each server has its
-        // own cache; both should be MISS here, but don't couple to it).
-        assert_eq!(
-            a.header("content-type"),
-            b.header("content-type"),
-            "{target}: content type"
-        );
-        assert_eq!(
-            a.header("transfer-encoding"),
-            b.header("transfer-encoding"),
-            "{target}: framing"
-        );
-    }
-    event.shutdown();
-    threaded.shutdown();
 }
 
 #[test]

@@ -9,9 +9,16 @@
 //! extract the de-chunked body.
 //!
 //! The decoder accumulates the raw wire bytes and walks the chunk
-//! framing from the head on each poll; bodies on the paths that use it
-//! are small (JSON results, tiles), so the rescan is noise compared to
-//! the syscalls around it.
+//! framing from the head on each poll — one short size-line scan per
+//! chunk, noise compared to the syscalls around it. Lengths taken from
+//! the wire (`content-length`, chunk sizes) only bound how many bytes
+//! the decoder waits for: they are overflow-checked and never size an
+//! allocation.
+//!
+//! The blocking client reader (`ee_serve::http::read_response`) drives
+//! this same decoder from a `BufRead`, using
+//! [`message_len`](ResponseDecoder::message_len) to consume exactly one
+//! message's bytes.
 
 /// A malformed response: bad status line, unparsable framing headers, or
 /// broken chunk framing.
@@ -35,7 +42,8 @@ pub struct ResponseDecoder {
     chunked: bool,
     content_length: usize,
     headers: Vec<(String, String)>,
-    complete: bool,
+    /// Wire length of the whole message; `0` until it is complete.
+    end: usize,
 }
 
 impl ResponseDecoder {
@@ -48,7 +56,7 @@ impl ResponseDecoder {
             chunked: false,
             content_length: 0,
             headers: Vec::new(),
-            complete: false,
+            end: 0,
         }
     }
 
@@ -87,14 +95,19 @@ impl ResponseDecoder {
             }
         }
         if !self.chunked {
-            if self.buf.len() >= self.head_end + self.content_length {
-                self.complete = true;
+            let end = self
+                .head_end
+                .checked_add(self.content_length)
+                .ok_or_else(|| {
+                    BadResponse(format!("content-length {} overflows", self.content_length))
+                })?;
+            if self.buf.len() >= end {
+                self.end = end;
                 return Ok(Some(self.status));
             }
             return Ok(None);
         }
-        // Walk the chunk framing from the head each time; bodies on the
-        // paths that use this decoder are small, so the rescan is noise.
+        // Walk the chunk framing from the head each time.
         let mut at = self.head_end;
         loop {
             let Some(nl) = self.buf[at..].windows(2).position(|w| w == b"\r\n") else {
@@ -106,13 +119,24 @@ impl ResponseDecoder {
             let size_hex = size_line.split(';').next().unwrap_or("").trim();
             let size = usize::from_str_radix(size_hex, 16)
                 .map_err(|_| BadResponse(format!("bad chunk size {size_line:?}")))?;
-            let data_start = at + nl + 2;
-            let data_end = data_start + size + 2; // chunk bytes + CRLF
+            // Chunk bytes + CRLF; for the last (zero-size) chunk the CRLF
+            // is the empty trailer section.
+            let data_end = (at + nl + 2)
+                .checked_add(size)
+                .and_then(|e| e.checked_add(2))
+                .ok_or_else(|| BadResponse(format!("chunk size {size_line:?} overflows")))?;
             if self.buf.len() < data_end {
                 return Ok(None);
             }
+            if &self.buf[data_end - 2..data_end] != b"\r\n" {
+                return Err(BadResponse(if size == 0 {
+                    "unexpected trailer".into()
+                } else {
+                    "chunk not CRLF-terminated".into()
+                }));
+            }
             if size == 0 {
-                self.complete = true;
+                self.end = data_end;
                 return Ok(Some(self.status));
             }
             at = data_end;
@@ -126,7 +150,14 @@ impl ResponseDecoder {
 
     /// True once [`feed`](Self::feed) has seen the whole message.
     pub fn is_complete(&self) -> bool {
-        self.complete
+        self.end > 0
+    }
+
+    /// Wire length of the complete message (head plus framed body), or
+    /// `None` before it is complete. Bytes fed past it belong to the
+    /// next message on the connection.
+    pub fn message_len(&self) -> Option<usize> {
+        self.is_complete().then_some(self.end)
     }
 
     /// True when any body byte (anything past the head) has arrived —
@@ -162,9 +193,9 @@ impl ResponseDecoder {
     /// bytes with all transfer framing removed; panics if the message is
     /// not complete yet (a state error in the caller, not a wire error).
     pub fn body(&self) -> Vec<u8> {
-        assert!(self.complete, "body() before the response completed");
+        assert!(self.is_complete(), "body() before the response completed");
         if !self.chunked {
-            return self.buf[self.head_end..self.head_end + self.content_length].to_vec();
+            return self.buf[self.head_end..self.end].to_vec();
         }
         let mut body = Vec::new();
         let mut at = self.head_end;
@@ -208,6 +239,7 @@ mod tests {
         }
         assert_eq!(done, Some(200));
         assert!(dec.is_complete());
+        assert_eq!(dec.message_len(), Some(wire.len()));
         assert_eq!(dec.body(), b"hello");
         assert_eq!(dec.header("content-type"), Some("text/plain"));
         assert!(dec.is_keep_alive());
@@ -226,10 +258,21 @@ mod tests {
         assert_eq!(dec.feed(&wire[..40]).unwrap(), None);
         assert_eq!(dec.feed(&wire[40..]).unwrap(), Some(200));
         assert_eq!(dec.body(), b"hellowor");
-        // Chunk extensions are ignored.
-        let ext = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n5;x=1\r\nhello\r\n0\r\n\r\n";
+        // Bytes past the terminator belong to the next message.
         let mut dec = ResponseDecoder::new();
-        assert_eq!(dec.feed(ext).unwrap(), Some(200));
+        let mut two = wire.to_vec();
+        two.extend_from_slice(b"HTTP/1.1 204 No Content\r\n");
+        assert_eq!(dec.feed(&two).unwrap(), Some(200));
+        assert_eq!(dec.message_len(), Some(wire.len()));
+        assert_eq!(dec.body(), b"hellowor");
+    }
+
+    #[test]
+    fn chunk_extensions_are_ignored_by_decoder() {
+        let wire =
+            b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n5;ext=1\r\nhello\r\n0\r\n\r\n";
+        let mut dec = ResponseDecoder::new();
+        assert_eq!(dec.feed(wire).unwrap(), Some(200));
         assert_eq!(dec.body(), b"hello");
     }
 
@@ -245,6 +288,44 @@ mod tests {
         assert!(dec
             .feed(b"HTTP/1.1 200 OK\r\ncontent-length: pony\r\n\r\n")
             .is_err());
+    }
+
+    #[test]
+    fn hostile_content_length_is_rejected_not_overflowed() {
+        let mut dec = ResponseDecoder::new();
+        let err = dec
+            .feed(b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\nab")
+            .unwrap_err();
+        assert!(err.0.contains("overflows"), "{err}");
+        assert!(!dec.is_complete());
+    }
+
+    #[test]
+    fn hostile_chunk_size_is_rejected_not_overflowed() {
+        let mut dec = ResponseDecoder::new();
+        let err = dec
+            .feed(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\nffffffffffffffff\r\nab")
+            .unwrap_err();
+        assert!(err.0.contains("overflows"), "{err}");
+        assert!(!dec.is_complete());
+    }
+
+    #[test]
+    fn chunk_data_must_end_in_crlf() {
+        let mut dec = ResponseDecoder::new();
+        let err = dec
+            .feed(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n3\r\nabcXY0\r\n\r\n")
+            .unwrap_err();
+        assert!(err.0.contains("not CRLF-terminated"), "{err}");
+    }
+
+    #[test]
+    fn non_empty_trailer_section_is_rejected() {
+        let mut dec = ResponseDecoder::new();
+        let err = dec
+            .feed(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n2\r\nok\r\n0\r\nx-t: 1\r\n\r\n")
+            .unwrap_err();
+        assert!(err.0.contains("unexpected trailer"), "{err}");
     }
 
     #[test]

@@ -22,6 +22,12 @@ cargo build --release --offline
 echo "== tier-1: offline test suite =="
 cargo test -q --offline
 
+echo "== benchmark: perfbench builds and passes its unit tests =="
+# perfbench/ is its own workspace with path deps on crates/*; the root
+# test run never builds it, so a deleted public item it uses would
+# otherwise break the benchmark silently.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== lint: clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings
 
@@ -66,10 +72,9 @@ grep -q '"bulk_load_triples_per_sec"' BENCH_PR7.json
 grep -q '"with_writer_p99_us"' BENCH_PR7.json
 
 echo "== smoke: harness e-c8 --quick (event-driven C10K serve tier) =="
-# Open-loop keep-alive fleets against the poll-driven event server plus
-# the thread-pool baseline; the in-bench stalled-reader check panics
-# (non-zero exit) if the server buffers a stream instead of applying
-# backpressure.
+# Open-loop keep-alive fleets against the poll-driven event server; the
+# in-bench stalled-reader check panics (non-zero exit) if the server
+# buffers a stream instead of applying backpressure.
 ./target/release/harness e-c8 --quick
 test -s BENCH_PR8.json
 grep -q 'p99' BENCH_PR8.json
